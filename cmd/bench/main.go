@@ -6,7 +6,7 @@
 // Usage:
 //
 //	bench [-episodes 5000] [-workers 0] [-seed 42] [-out BENCH_campaign.json]
-//	      [-quick] [-smoke] [-guard] [-platoon N] [-batch N] [-checkpoint DIR]
+//	      [-quick] [-smoke] [-guard] [-platoon N] [-checkpoint DIR]
 //
 // The default matrix covers the paper's three communication settings (none,
 // delayed, lost) for both expert planners under the ultimate compound
@@ -32,11 +32,6 @@
 // in counting mode (BENCH_platoon.json).  -platoon N -smoke is the
 // platoon's own CI gate: a clean chain and a burst-on-the-middle-link
 // chain over 10k episodes each with the checkers in fail mode.
-// -batch N steps the canonical left-turn matrix through the lockstep
-// batch engine (internal/sim/batch) with N lanes per group instead of the
-// scalar episode loop.  Every lane is byte-identical to its scalar
-// episode and the fold order is unchanged, so the report's stats match
-// the scalar run bit for bit — only the throughput numbers move.
 // -ibp runs the offline certification sweep: every trained-NN design on
 // the clean canonical scenario in IBP verified mode (internal/nn/ibp),
 // each executed κ_n command cross-checked against the certified output
@@ -88,9 +83,6 @@ type benchReport struct {
 	EpisodesPerCampaign int   `json:"episodes_per_campaign"`
 	BaseSeed            int64 `json:"base_seed"`
 	Workers             int   `json:"workers"`
-	// BatchSize is the lockstep lane count when the matrix ran through the
-	// batched engine (-batch); omitted for the scalar episode loop.
-	BatchSize int `json:"batch_size,omitempty"`
 
 	// Speedup compares 1-worker and full-worker throughput on the first
 	// campaign of the matrix (omitted when running with a single worker).
@@ -118,7 +110,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "small matrix for regression snapshots (500 episodes unless -episodes is set)")
 		smoke      = flag.Bool("smoke", false, "CI safety gate: one 10k-episode campaign, invariants in fail mode")
 		guardMode  = flag.Bool("guard", false, "compute-fault matrix: one campaign per planner-fault preset under the guarded design")
-		batchSize  = flag.Int("batch", 0, "lockstep batch width for the left-turn matrix (0 or 1: scalar episode loop)")
 		checkpoint = flag.String("checkpoint", "", "directory for per-campaign checkpoints (enables resume)")
 		perfMode   = flag.Bool("perf", false, "allocation/latency matrix: ns/step, B/op, allocs/op per scenario, scratch off vs on (BENCH_perf.json)")
 		ibpMode    = flag.Bool("ibp", false, "certification sweep: every trained-NN design in IBP verified mode, zero certified-range misses required (BENCH_ibp.json)")
@@ -237,9 +228,6 @@ func main() {
 		BaseSeed:            *seed,
 		Workers:             w,
 	}
-	if *batchSize > 1 {
-		report.BatchSize = *batchSize
-	}
 
 	matrix := workloads.CanonicalMatrix(*quick)
 	for i, wl := range matrix {
@@ -248,14 +236,13 @@ func main() {
 			Episodes:        n,
 			BaseSeed:        *seed,
 			Workers:         w,
-			BatchSize:       *batchSize,
 			Invariants:      wl.Invariants(),
 			CountViolations: true,
 		}
 		if *checkpoint != "" {
 			spec.CheckpointPath = filepath.Join(*checkpoint, sanitize(wl.Name)+".json")
 		}
-		rep, err := runCampaign(spec, wl)
+		rep, err := runCampaign(spec, wl.Episode())
 		if err != nil {
 			log.Fatalf("campaign %s: %v", wl.Name, err)
 		}
@@ -268,7 +255,7 @@ func main() {
 		if i == 0 && w > 1 {
 			spec.CheckpointPath = "" // never resume the probe
 			spec.Workers = 1
-			base, err := runWorkload(spec, wl)
+			base, err := campaign.Run(spec, wl.Episode())
 			if err != nil {
 				log.Fatalf("campaign %s (1 worker): %v", wl.Name, err)
 			}
@@ -298,30 +285,19 @@ func main() {
 	log.Printf("wrote %s (%d campaigns)", *out, len(report.Campaigns))
 }
 
-// runWorkload dispatches one left-turn workload to the scalar or the
-// lockstep batched campaign engine, keyed on Spec.BatchSize.  Both
-// produce bit-identical Stats (the batch parity suite asserts this);
-// only the execution shape differs.
-func runWorkload(spec campaign.Spec, wl workloads.Workload) (*campaign.Report, error) {
-	if spec.BatchSize > 1 {
-		return campaign.RunBatch(spec, wl.Batch())
-	}
-	return campaign.Run(spec, wl.Episode())
-}
-
 // runCampaign executes a spec, degrading gracefully when its checkpoint
 // file is corrupt (truncated, bit-flipped, version-skewed): the file is
 // discarded with a warning and the campaign restarts fresh.  A
 // *fingerprint* mismatch still fails — that checkpoint belongs to a
 // different campaign and discarding it would hide the caller's mistake.
-func runCampaign(spec campaign.Spec, wl workloads.Workload) (*campaign.Report, error) {
-	rep, err := runWorkload(spec, wl)
+func runCampaign(spec campaign.Spec, episode campaign.EpisodeFunc) (*campaign.Report, error) {
+	rep, err := campaign.Run(spec, episode)
 	if err != nil && spec.CheckpointPath != "" && errors.Is(err, campaign.ErrCorruptCheckpoint) {
 		log.Printf("WARNING: %v — discarding and restarting fresh", err)
 		if rmErr := os.Remove(spec.CheckpointPath); rmErr != nil && !os.IsNotExist(rmErr) {
 			return nil, rmErr
 		}
-		rep, err = runWorkload(spec, wl)
+		rep, err = campaign.Run(spec, episode)
 	}
 	return rep, err
 }
@@ -446,7 +422,7 @@ func runGuardMatrix(n, w int, seed int64, out, checkpoint string) {
 		if checkpoint != "" {
 			spec.CheckpointPath = filepath.Join(checkpoint, sanitize(spec.Name)+".json")
 		}
-		rep, err := runCampaign(spec, workloads.Workload{Name: spec.Name, Cfg: cfg, Agent: agent})
+		rep, err := runCampaign(spec, campaign.LeftTurn(cfg, agent))
 		if err != nil {
 			log.Fatalf("campaign %s: %v", spec.Name, err)
 		}

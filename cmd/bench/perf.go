@@ -14,7 +14,6 @@ import (
 	"safeplan/internal/experiments"
 	"safeplan/internal/platoon"
 	"safeplan/internal/sim"
-	"safeplan/internal/sim/batch"
 )
 
 // perfReport is the file layout of BENCH_perf.json: the allocation and
@@ -32,10 +31,6 @@ type perfReport struct {
 	BaseSeed    int64  `json:"base_seed"`
 
 	Rows []perfRow `json:"rows"`
-
-	// Batch compares the lockstep SoA engine (internal/sim/batch) against
-	// the scalar left-turn stepping path at several lane widths.
-	Batch *batchPerfBlock `json:"batch"`
 }
 
 // perfSample is one measured configuration (scratch off or on).  An "op"
@@ -63,7 +58,7 @@ type perfRow struct {
 // average over episode shapes instead of timing one seed's trajectory.
 const perfSeedCycle = 16
 
-// runPerfMatrix measures the three episode runners with and without a
+// runPerfMatrix measures the four episode runners with and without a
 // scratch arena and writes the comparison to out.
 func runPerfMatrix(seed int64, out string) {
 	report := perfReport{
@@ -90,7 +85,6 @@ func runPerfMatrix(seed int64, out string) {
 			row.After.AllocsPerOp, row.After.BytesPerOp,
 			row.AllocReduction, row.BytesReduction)
 	}
-	report.Batch = measureBatchMatrix(seed)
 
 	raw, err := json.MarshalIndent(report, "", " ")
 	if err != nil {
@@ -107,208 +101,20 @@ func runPerfMatrix(seed int64, out string) {
 	log.Printf("wrote %s (%d rows)", out, len(report.Rows))
 }
 
-// perfBatchSizes are the lane widths measured by the batch block.  Width 1
-// documents the lockstep engine's bookkeeping floor relative to the scalar
-// stepper.  The scalar engine now batch-seeds its own derived streams
-// (the win that used to dominate this comparison), so widths ≥ 8 sit
-// near parity with the scalar baseline rather than ~1.3× ahead; the
-// block remains the regression watch on lockstep overhead.  Every width
-// must divide batchPoolEpisodes so all rows cover the identical episode
-// pool.
-var perfBatchSizes = []int{1, 8, 64}
-
-// batchPoolEpisodes is the fixed seed pool every batch row — and the
-// scalar baseline — steps per benchmark op.  Pinning the pool makes the
-// comparison apples-to-apples: every row simulates the exact same
-// episodes (the batch engine is byte-identical to the scalar one), so
-// the ns/step ratio isolates engine overhead from episode mix.
-const batchPoolEpisodes = 64
-
-// batchPerfBlock is the batch section of BENCH_perf.json: the scalar
-// left-turn baseline re-measured over the shared pool (scratch arena on)
-// and one row per lane width.  Results are byte-identical to the scalar
-// engine at every width — the parity suite gates that — so this block is
-// purely a throughput comparison.
-type batchPerfBlock struct {
-	Scenario        string            `json:"scenario"`
-	PoolEpisodes    int               `json:"pool_episodes"`
-	ScalarNsPerStep float64           `json:"scalar_ns_per_step"`
-	Sizes           []batchPerfSample `json:"sizes"`
-}
-
-// batchPerfSample is one lane width's measurement.  An "op" is one pass
-// over the whole pool; the per-episode columns cover the full episode —
-// engine construction, stepping, and finalization — and divide by the
-// pool size.  Whole-episode timing matters: construction is dominated by
-// math/rand stream seeding, which the batch engine pipelines across lanes
-// (internal/xrand.SeedMany) while the scalar loop must pay serially, and
-// that structural difference is part of what the batch rows measure.
-type batchPerfSample struct {
-	Size             int     `json:"size"`
-	Iterations       int     `json:"iterations"`
-	NsPerEpisode     float64 `json:"ns_per_episode"`
-	NsPerStep        float64 `json:"ns_per_step"`
-	BytesPerEpisode  float64 `json:"bytes_per_episode"`
-	AllocsPerEpisode float64 `json:"allocs_per_episode"`
-	// SpeedupVsScalar is scalar ns/step ÷ batched ns/step (> 1: the batch
-	// engine steps faster per simulated step than the scalar engine).
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar"`
-}
-
-// batchPoolRepeats is how many times each pool configuration is measured.
-// The repeats are *interleaved* — scalar, width 1, width 8, width 64,
-// then again — and the fastest repeat per configuration is kept (the
-// minimum is the least scheduler-disturbed estimate, and interleaving
-// keeps slow machine drift from biasing whichever configuration happened
-// to run last).  Applied identically to the scalar baseline and every
-// batch width, so the comparison stays fair.
-const batchPoolRepeats = 5
-
-// measureBatchMatrix measures the batched left-turn engine at every lane
-// width over the shared episode pool, against a scalar pass over the
-// same pool.
-func measureBatchMatrix(seed int64) *batchPerfBlock {
-	cfg, agent := leftTurnPerfWorkload()
-	seeds := make([]int64, batchPoolEpisodes)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
-	// Both closures time the whole episode, construction included: stream
-	// seeding is over half of episode wall time, and batching it across
-	// lanes is a structural advantage of the lockstep engine that the
-	// comparison is meant to expose, not hide.
-	scalarRun := func(sh *sim.Scratch, group []int64) (int64, error) {
-		var steps int64
-		for _, s := range group {
-			st, err := sim.NewStepper(cfg, agent, sim.Options{Seed: s, Scratch: sh})
-			if err != nil {
-				return 0, err
-			}
-			for !st.Done() {
-				if _, err := st.Step(sim.StepInput{}); err != nil {
-					return 0, err
-				}
-			}
-			r, err := st.Finish()
-			if err != nil {
-				return 0, err
-			}
-			steps += int64(r.Steps)
-		}
-		return steps, nil
-	}
-	batchRun := func(sh *sim.Scratch, group []int64) (int64, error) {
-		bs, err := batch.New(cfg, agent, group, sim.Options{Scratch: sh})
-		if err != nil {
-			return 0, err
-		}
-		for !bs.Done() {
-			bs.Step()
-		}
-		rs, err := bs.Finish()
-		if err != nil {
-			return 0, err
-		}
-		var steps int64
-		for k := range rs {
-			steps += int64(rs[k].Steps)
-		}
-		return steps, nil
-	}
-
-	// Row 0 is the scalar baseline (group size = whole pool); the rest are
-	// the batch widths.  One scratch arena per row, reused across repeats.
-	rows := make([]batchPerfSample, 1+len(perfBatchSizes))
-	arenas := make([]*sim.Scratch, len(rows))
-	for i := range arenas {
-		arenas[i] = sim.NewScratch()
-	}
-	for rep := 0; rep < batchPoolRepeats; rep++ {
-		for i := range rows {
-			run, size := scalarRun, len(seeds)
-			if i > 0 {
-				run, size = batchRun, perfBatchSizes[i-1]
-			}
-			s := measurePool(seeds, arenas[i], run, size)
-			if rep == 0 || s.NsPerStep < rows[i].NsPerStep {
-				rows[i] = s
-			}
-		}
-	}
-
-	block := &batchPerfBlock{
-		Scenario:        "left-turn",
-		PoolEpisodes:    batchPoolEpisodes,
-		ScalarNsPerStep: rows[0].NsPerStep,
-	}
-	log.Printf("batch scalar-baseline %9.0f ns/episode  %7.1f ns/step over %d-episode pool",
-		rows[0].NsPerEpisode, rows[0].NsPerStep, batchPoolEpisodes)
-	for i, size := range perfBatchSizes {
-		s := rows[1+i]
-		s.Size = size
-		if s.NsPerStep > 0 {
-			s.SpeedupVsScalar = block.ScalarNsPerStep / s.NsPerStep
-		}
-		block.Sizes = append(block.Sizes, s)
-		log.Printf("batch %-3d %9.0f ns/episode  %7.1f ns/step  %6.2f allocs/episode  (%.2fx vs scalar)",
-			s.Size, s.NsPerEpisode, s.NsPerStep, s.AllocsPerEpisode, s.SpeedupVsScalar)
-	}
-	return block
-}
-
-// measurePool benchmarks one pass over the pool in groups of size lanes.
-// The scratch arena is reused across iterations, mirroring how a campaign
-// shard drives the engines.
-func measurePool(seeds []int64, sh *sim.Scratch, runGroup func(*sim.Scratch, []int64) (int64, error), size int) batchPerfSample {
-	var steps int64
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		steps = 0
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(seeds); lo += size {
-				n, err := runGroup(sh, seeds[lo:min(lo+size, len(seeds))])
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps += n
-			}
-		}
-	})
-	pool := float64(len(seeds))
-	s := batchPerfSample{
-		Iterations:       res.N,
-		NsPerEpisode:     float64(res.NsPerOp()) / pool,
-		BytesPerEpisode:  float64(res.AllocedBytesPerOp()) / pool,
-		AllocsPerEpisode: float64(res.AllocsPerOp()) / pool,
-	}
-	if steps > 0 {
-		s.NsPerStep = float64(res.T.Nanoseconds()) / float64(steps)
-	}
-	return s
-}
-
 // perfWorkload is one scenario of the perf matrix.
 type perfWorkload struct {
 	name string
 	run  func(opts sim.Options) (sim.Result, error)
 }
 
-// leftTurnPerfWorkload is the left-turn scenario of the matrix: delayed
-// comms with the information filter on (the heaviest steady-state stack).
-// The batch block measures the same workload so its speedup column is
-// apples-to-apples against the scalar left-turn row.
-func leftTurnPerfWorkload() (sim.Config, core.Agent) {
-	cfg := sim.DefaultConfig()
-	cfg.Comms = comms.Delayed(0.25, 0.5)
-	cfg.InfoFilter = true
-	return cfg, core.NewUltimate(cfg.Scenario, experiments.ExpertPlanners(cfg.Scenario).Cons)
-}
-
 // perfWorkloads builds the matrix: one episode runner per scenario, all
 // under the delayed-comms setting with the information filter on (the
 // heaviest steady-state stack: Kalman replay, fusion, compound monitor).
 func perfWorkloads() []perfWorkload {
-	ltCfg, ltAgent := leftTurnPerfWorkload()
+	ltCfg := sim.DefaultConfig()
+	ltCfg.Comms = comms.Delayed(0.25, 0.5)
+	ltCfg.InfoFilter = true
+	ltAgent := core.NewUltimate(ltCfg.Scenario, experiments.ExpertPlanners(ltCfg.Scenario).Cons)
 
 	multiCfg := sim.DefaultMultiConfig()
 	multiCfg.Comms = comms.Delayed(0.25, 0.5)
@@ -320,10 +126,6 @@ func perfWorkloads() []perfWorkload {
 	cfCfg.InfoFilter = true
 	cfAgent := carfollow.NewUltimate(cfCfg.Scenario, carfollow.AggressiveExpert(cfCfg.Scenario))
 
-	// The platoon row runs through the scalar stepping engine only: the
-	// lockstep SoA batch engine is a fixed-layout left-turn twin, and the
-	// chain's state dimension varies with N, so a batched platoon engine
-	// is deliberately deferred (see DESIGN.md §17).
 	plCfg := platoon.DefaultSimConfig()
 	plCfg.Comms = comms.Delayed(0.25, 0.5)
 	plCfg.InfoFilter = true

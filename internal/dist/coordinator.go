@@ -21,13 +21,13 @@ const (
 
 // Config configures a Coordinator.
 type Config struct {
-	// Spec is the campaign to distribute.  Spec.Workers and
-	// Spec.BatchSize are worker-local concerns and ignored here; the
-	// coordinator owns only the shard plan and the fold.  When
-	// Spec.CheckpointPath is set the coordinator checkpoints accepted
-	// shard results there (campaign checkpoint format, so a partial
-	// distributed campaign can be finished by single-process Run and
-	// vice versa) and resumes from it on construction.
+	// Spec is the campaign to distribute.  Spec.Workers is a worker-local
+	// concern and ignored here; the coordinator owns only the shard plan
+	// and the fold.  When Spec.CheckpointPath is set the coordinator
+	// checkpoints accepted shard results there (campaign checkpoint
+	// format, so a partial distributed campaign can be finished by
+	// single-process Run and vice versa) and resumes from it on
+	// construction.
 	Spec campaign.Spec
 
 	// Workload names the episode function in the internal/workloads

@@ -28,7 +28,7 @@
 //
 // Wall-clock time — lease TTLs, heartbeats, backoff — flows exclusively
 // through the Clock seam in clock.go; nothing clock-derived ever touches
-// the statistics fold.  See DESIGN.md §16 for the full failure model and
+// the statistics fold.  See DESIGN.md §15 for the full failure model and
 // the exactly-once argument.
 package dist
 

@@ -20,7 +20,7 @@
 // round to nearest (no directed rounding), so a point evaluation can
 // escape the bound by a few ulps; runtime consumers absorb this with a
 // small tolerance (sim.CertifyConfig.Tol), and the property/fuzz suites
-// pin the slack at 1e-9 relative.  See DESIGN.md §15 for the full
+// pin the slack at 1e-9 relative.  See DESIGN.md §14 for the full
 // argument.
 //
 // A Propagator is immutable after New (weights are snapshotted, so later

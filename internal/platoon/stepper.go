@@ -302,7 +302,7 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 	res := &st.res
 	links := st.links
 
-	// 0. Externally streamed events (sessions only; empty in batch runs),
+	// 0. Externally streamed events (sessions only; empty in closed-loop runs),
 	// routed to links by 1-based vehicle index.
 	for _, m := range in.Messages {
 		if m.Sender >= 1 && m.Sender <= len(links) {

@@ -684,9 +684,11 @@ func (sh *shard) process(sess *session, env envelope) {
 			Scratch:   scratch,
 		})
 		if err != nil {
+			// Release the admission slot before answering, as teardown
+			// does for a close.
 			sh.free = append(sh.free, scratch)
-			srv.reject(env.w, req, ReasonBadRequest, err.Error())
 			sh.teardown(sess, nil, &srv.closed)
+			srv.reject(env.w, req, ReasonBadRequest, err.Error())
 			return
 		}
 		sess.eng = eng
@@ -760,9 +762,10 @@ func (sh *shard) settle(sess *session) {
 }
 
 // teardown retires a session on the worker: deregister, settle the
-// episode (a mid-episode close yields the partial result), answer the
-// close request, flush stragglers with ReasonSessionClosed, and recycle
-// the scratch arena.
+// episode (a mid-episode close yields the partial result), flush
+// stragglers with ReasonSessionClosed, recycle the scratch arena, release
+// the admission slot, and only then answer the close request — a client
+// that reopens as soon as its close is acked must find the slot free.
 func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int64) {
 	sess.mu.Lock()
 	sess.closed = true
@@ -774,27 +777,28 @@ func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int
 	if sess.eng != nil {
 		sh.settle(sess)
 	}
+drain:
+	for {
+		select {
+		case env := <-sess.mailbox:
+			sh.srv.reject(env.w, env.req, ReasonSessionClosed, "session closed")
+		default:
+			break drain
+		}
+	}
+	if sess.scratch != nil {
+		sh.free = append(sh.free, sess.scratch)
+		sess.scratch = nil
+	}
+	sess.eng = nil
+	counter.Add(1)
+	sh.srv.live.Add(-1)
 	if closeEnv != nil {
 		resp := Response{SID: sess.id, Op: OpClose, OK: true, Result: sess.result}
 		if sess.engErr != nil {
 			resp.Error = sess.engErr.Error()
 		}
 		closeEnv.w.send(resp)
-	}
-	for {
-		select {
-		case env := <-sess.mailbox:
-			sh.srv.reject(env.w, env.req, ReasonSessionClosed, "session closed")
-		default:
-			if sess.scratch != nil {
-				sh.free = append(sh.free, sess.scratch)
-				sess.scratch = nil
-			}
-			sess.eng = nil
-			counter.Add(1)
-			sh.srv.live.Add(-1)
-			return
-		}
 	}
 }
 

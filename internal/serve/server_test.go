@@ -202,6 +202,26 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// TestCloseReopenAtCap pins the close-ack ordering: the worker releases
+// the admission slot before it acks the close, so a client that reopens
+// the moment its close is acked, at the session cap, is never refused as
+// saturated.
+func TestCloseReopenAtCap(t *testing.T) {
+	srv, addr := newTestServer(t, Config{Shards: 1, MaxSessions: 1})
+	cl := dialTest(t, addr)
+	for i := 0; i < 2000; i++ {
+		if resp := cl.do(Request{Op: OpOpen, SID: "churn", Seed: int64(i)}); !resp.OK {
+			t.Fatalf("reopen %d after acked close: %+v", i, resp)
+		}
+		if resp := cl.do(Request{Op: OpClose, SID: "churn"}); !resp.OK {
+			t.Fatalf("close %d: %+v", i, resp)
+		}
+	}
+	if st := srv.Stats(); st.LiveSessions != 0 || st.SessionsClosed != 2000 {
+		t.Fatalf("stats after churn: %+v", st)
+	}
+}
+
 // TestBackpressure exercises the bounded-mailbox contract directly: the
 // enqueue path must reject (never block) on a full mailbox, and must
 // reject with the closed reason once teardown has flipped the session.

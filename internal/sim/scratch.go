@@ -33,9 +33,10 @@ type Scratch struct {
 	rngs []*rand.Rand
 	nRng int
 
-	// Paired xrand sources and the rand.Rands wrapping them, for the
-	// batch-seeded derived streams (see XRands).  Reseeded in place every
-	// episode, so no per-use counter is needed.
+	// Paired xrand sources and the rand.Rands wrapping them, for an
+	// episode's derived streams, seeded together in one xrand.SeedMany
+	// pass (see XRands).  Reseeded in place every episode, so no per-use
+	// counter is needed.
 	xsrcs  []*xrand.Source
 	xrands []*rand.Rand
 
@@ -73,7 +74,8 @@ type Scratch struct {
 	pooledStepper      *Stepper
 	pooledMultiStepper *MultiStepper
 	// extEngine is the same slot for sibling scenario packages
-	// (internal/carfollow), which sim cannot name without an import cycle.
+	// (internal/carfollow, internal/platoon), which sim cannot name
+	// without an import cycle.
 	extEngine any
 }
 

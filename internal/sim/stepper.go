@@ -20,7 +20,7 @@ import (
 )
 
 // StepInput carries externally streamed events into one control step of a
-// resumable Stepper.  The zero value reproduces the closed-loop batch
+// resumable Stepper.  The zero value reproduces the closed-loop
 // simulation exactly: the internal world generates its own V2V broadcasts
 // and sensor readings.  A streaming session (cmd/serve) injects received
 // events here; they are fused *before* this step's internally generated
@@ -278,9 +278,9 @@ func (st *Stepper) Err() error { return st.err }
 
 // Step advances the episode by one control step.  The input can inject
 // externally streamed V2V messages and sensor readings (see StepInput); a
-// zero input reproduces the batch loop byte for byte.  After the terminal
-// step (or after an error) further calls return the terminal outcome
-// unchanged.
+// zero input reproduces the closed loop (Run) byte for byte.  After the
+// terminal step (or after an error) further calls return the terminal
+// outcome unchanged.
 func (st *Stepper) Step(in StepInput) (StepOutcome, error) {
 	if st.done || st.err != nil {
 		return st.terminalOutcome(), st.err
@@ -297,7 +297,7 @@ func (st *Stepper) Step(in StepInput) (StepOutcome, error) {
 	sc := st.sc
 	res := &st.res
 
-	// 0. Externally streamed events (sessions only; empty in batch runs).
+	// 0. Externally streamed events (sessions only; empty in closed-loop runs).
 	for _, m := range in.Messages {
 		st.filt.OnMessage(m)
 	}

@@ -6,13 +6,13 @@
 // Why this exists: seeding one math/rand source walks a 607-entry bootstrap
 // recurrence — three serial modular multiplications per entry — and costs
 // ~10µs, which the profile shows is over half of a whole simulation episode
-// (each episode derives about eight purpose-specific streams).  Within one
-// episode the streams are derived sequentially from the master and there is
-// nothing to overlap; across the lanes of a batch, every source is
-// independent, so their chains can be interleaved and the per-seed latency
-// hidden.  That cross-lane amortization is only sound if a Source-backed
-// *rand.Rand draws exactly what a rand.NewSource-backed one would — hence
-// the bit-exact replica, pinned by TestSourceMatchesMathRand.
+// (a left-turn episode seeds a master and five or six derived streams).
+// The derived seeds are drawn sequentially from the episode's master stream,
+// but once drawn every derived source is independent, so their chains can
+// be interleaved and the per-seed latency hidden.  That amortization is
+// only sound if a Source-backed *rand.Rand draws exactly what a
+// rand.NewSource-backed one would — hence the bit-exact replica, pinned by
+// TestSourceMatchesMathRand.
 package xrand
 
 const (

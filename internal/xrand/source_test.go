@@ -24,7 +24,7 @@ func seedCases() []int64 {
 // seed, a Source produces exactly the Uint64/Int63 stream of
 // rand.NewSource, and a Source-backed *rand.Rand draws exactly the same
 // Float64/Int63n/NormFloat64 values.  Everything else in this package
-// (and the batch engine's seeding fast path) rests on this.
+// (and sim.Stepper's seeding fast path) rests on this.
 func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range seedCases() {
 		ours := NewSource(seed)

@@ -19,10 +19,6 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# The greps recurse, so internal/sim also covers the lockstep batch
-# engine (internal/sim/batch), which must stay entirely wall-clock-free:
-# phase-major stepping has no per-lane planner timing (StepProbe.PlannerNs
-# is 0 by design there — see the package doc).
 PKGS="internal/sim internal/platoon internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval"
 # Budget 3: the sim.go and multi.go probes plus the platoon stepper's
 # planner-latency probe, all gated behind `coll != nil`.
