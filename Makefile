@@ -25,8 +25,9 @@ check:
 golden:
 	$(GO) test -run TestGolden ./internal/sim -update
 
-# Short fuzzing pass: ~20s per safety target.  The full corpus grows under
-# `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
+# Short fuzzing pass: ~20s per safety target.  FuzzCarFollowSafety runs
+# car following on the platoon engine at two vehicles.  The full corpus
+# grows under `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompoundSafety -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzCarFollowSafety -fuzztime 20s ./internal/carfollow
@@ -35,7 +36,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIBPContainment -fuzztime 20s ./internal/nn/ibp
 
 # Optional linters plus the in-tree determinism hygiene check: no global
-# math/rand calls and no new time.Now in the stepping packages (see
+# math/rand calls and no new time.Now in the episode-path packages (see
 # scripts/lint_determinism.sh for the rationale and the probe budget).
 lint-extra:
 	./scripts/lint_determinism.sh
@@ -45,7 +46,8 @@ lint-extra:
 # Allocation-regression gate: a warmed scratch arena must keep every
 # scenario's episode hot path within the allocation budget of
 # internal/sim/alloc_test.go — left-turn, multi-vehicle and certified
-# episodes, car-following, and the four-vehicle platoon (whose one
+# episodes, and the platoon engine at two vehicles (car following, zero
+# allocations, TestCarFollowEpisodeAllocs) and at four (whose one
 # caller-owned Result.Links allocation is the expected floor) — and the
 # arena path must stay bit-identical to the allocate-per-episode path.
 alloc-gate:

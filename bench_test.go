@@ -20,6 +20,7 @@ import (
 	"safeplan/internal/kalman"
 	"safeplan/internal/leftturn"
 	"safeplan/internal/monitor"
+	"safeplan/internal/platoon"
 	"safeplan/internal/reach"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
@@ -357,15 +358,16 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCarFollowEpisode measures one car-following episode.
+// BenchmarkCarFollowEpisode measures one car-following episode (the
+// platoon engine at two vehicles).
 func BenchmarkCarFollowEpisode(b *testing.B) {
-	cfg := carfollow.DefaultSimConfig()
+	cfg := platoon.SimConfig{SimConfig: carfollow.DefaultSimConfig(), Vehicles: 2}
 	cfg.Comms = comms.Delayed(0.25, 0.5)
 	cfg.InfoFilter = true
 	agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := carfollow.RunEpisode(cfg, agent, sim.Options{Seed: int64(i)}); err != nil {
+		if _, err := platoon.RunEpisode(cfg, agent, sim.Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -132,10 +132,10 @@ func perfWorkloads() []perfWorkload {
 	plAgent := carfollow.NewUltimate(plCfg.Scenario, carfollow.AggressiveExpert(plCfg.Scenario))
 
 	return []perfWorkload{
-		{"left-turn", func(opts sim.Options) (sim.Result, error) { return sim.Run(ltCfg, ltAgent, opts) }},
-		{"multi-vehicle", func(opts sim.Options) (sim.Result, error) { return sim.RunMulti(multiCfg, multiAgent, opts) }},
-		{"car-follow", func(opts sim.Options) (sim.Result, error) { return carfollow.RunEpisode(cfCfg, cfAgent, opts) }},
-		{"platoon-4", func(opts sim.Options) (sim.Result, error) { return platoon.RunEpisode(plCfg, plAgent, opts) }},
+		{"left-turn", campaign.LeftTurn(ltCfg, ltAgent)},
+		{"multi-vehicle", campaign.MultiVehicle(multiCfg, multiAgent)},
+		{"car-follow", campaign.CarFollow(cfCfg, cfAgent)},
+		{"platoon-4", campaign.Platoon(plCfg, plAgent)},
 	}
 }
 

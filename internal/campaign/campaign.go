@@ -39,9 +39,10 @@ func MultiVehicle(cfg sim.MultiConfig, agent core.MultiAgent) EpisodeFunc {
 	return func(opts sim.Options) (sim.Result, error) { return sim.RunMulti(cfg, agent, opts) }
 }
 
-// CarFollow adapts the car-following runner.
+// CarFollow adapts the car-following study: the platoon engine at two
+// vehicles (head and ego), which is the car-following episode.
 func CarFollow(cfg carfollow.SimConfig, agent carfollow.Agent) EpisodeFunc {
-	return func(opts sim.Options) (sim.Result, error) { return carfollow.RunEpisode(cfg, agent, opts) }
+	return Platoon(platoon.SimConfig{SimConfig: cfg, Vehicles: 2}, agent)
 }
 
 // Platoon adapts the N-vehicle platoon runner.

@@ -1,8 +1,9 @@
-package carfollow
+package carfollow_test
 
 import (
 	"testing"
 
+	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/sim"
 )
@@ -15,24 +16,26 @@ const episodeAllocBudget = 2
 
 // TestCarFollowEpisodeAllocs is the car-following allocation gate: with a
 // warmed scratch arena, an episode under delayed comms with the
-// information filter on must stay within the zero-alloc budget.
+// information filter on must stay within the zero-alloc budget.  The
+// episode runs on the platoon engine at two vehicles, where Result.Links
+// stays nil, so nothing is left to allocate.
 func TestCarFollowEpisodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not meaningful with -short")
 	}
-	cfg := DefaultSimConfig()
+	cfg := carfollow.DefaultSimConfig()
 	cfg.Comms = comms.Delayed(0.25, 0.5)
 	cfg.InfoFilter = true
-	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+	agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 	sh := sim.NewScratch()
 	// Warm the arena: the first episode grows every pool to steady state.
-	if _, err := RunEpisode(cfg, agent, sim.Options{Seed: 1, Scratch: sh}); err != nil {
+	if _, err := runEpisode(cfg, agent, sim.Options{Seed: 1, Scratch: sh}); err != nil {
 		t.Fatal(err)
 	}
 	seed := int64(0)
 	avg := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := RunEpisode(cfg, agent, sim.Options{Seed: seed, Scratch: sh}); err != nil {
+		if _, err := runEpisode(cfg, agent, sim.Options{Seed: seed, Scratch: sh}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -120,7 +120,7 @@ func ExactLead(s dynamics.State, a float64) LeadEstimate {
 // InUnsafeSet implements the paper's §II-A unsafe set for the worst case
 // of the estimate: the gap to the *closest possible* lead position is
 // below PGap.
-func (c Config) InUnsafeSet(ego dynamics.State, lead LeadEstimate) bool {
+func (c *Config) InUnsafeSet(ego dynamics.State, lead LeadEstimate) bool {
 	if lead.P.IsEmpty() {
 		return false
 	}
@@ -132,7 +132,7 @@ func (c Config) InUnsafeSet(ego dynamics.State, lead LeadEstimate) bool {
 // worst-case (closest, slowest) state, an ego that starts braking at
 // a_min next step keeps the gap.  Positive slack = that criterion holds
 // with room to spare.
-func (c Config) Slack(ego dynamics.State, lead LeadEstimate) float64 {
+func (c *Config) Slack(ego dynamics.State, lead LeadEstimate) float64 {
 	if lead.P.IsEmpty() || lead.V.IsEmpty() {
 		return math.Inf(1) // no lead known: unconstrained
 	}
@@ -145,7 +145,7 @@ func (c Config) Slack(ego dynamics.State, lead LeadEstimate) float64 {
 // the ego applies accel a and the lead behaves worst-case (maximum
 // braking).  It is the direct, discrete evaluation of the boundary-safe-
 // set condition (paper Eq. 3) for this scenario.
-func (c Config) slackAfterWorstStep(ego dynamics.State, lead LeadEstimate, a float64) float64 {
+func (c *Config) slackAfterWorstStep(ego dynamics.State, lead LeadEstimate, a float64) float64 {
 	nextEgo, _ := dynamics.Step(ego, a, c.DtC, c.Ego)
 	// Worst-case lead after dt: closest position advancing at its slowest,
 	// velocity dropping at a_min.
@@ -162,7 +162,7 @@ func (c Config) slackAfterWorstStep(ego dynamics.State, lead LeadEstimate, a flo
 // push the state into (one-step reach of) the unsafe region: the monitor
 // hands control to κ_e exactly then.  Because slack is monotone decreasing
 // in the ego's acceleration, checking the maximal acceleration suffices.
-func (c Config) InBoundarySafeSet(ego dynamics.State, lead LeadEstimate) bool {
+func (c *Config) InBoundarySafeSet(ego dynamics.State, lead LeadEstimate) bool {
 	if lead.P.IsEmpty() {
 		return false
 	}
@@ -173,7 +173,7 @@ func (c Config) InBoundarySafeSet(ego dynamics.State, lead LeadEstimate) bool {
 // state with nonnegative slack, braking at a_min keeps the gap ≥ PGap
 // against every admissible lead behaviour (both vehicles' stopping points
 // preserve the ordering by the slack definition), so Eq. 4 holds.
-func (c Config) EmergencyAccel(ego dynamics.State) float64 {
+func (c *Config) EmergencyAccel(ego dynamics.State) float64 {
 	if ego.V <= 0 {
 		return 0
 	}
@@ -183,7 +183,7 @@ func (c Config) EmergencyAccel(ego dynamics.State) float64 {
 // AggressiveAssumedBrake returns the lead braking assumption fed to κ_n:
 // min(a1(t) − ABuf, MinAssumedBrake), clamped at the physical a_min.  The
 // lead "probably" won't brake much harder than it currently does.
-func (c Config) AggressiveAssumedBrake(leadA float64) float64 {
+func (c *Config) AggressiveAssumedBrake(leadA float64) float64 {
 	a := leadA - c.ABuf
 	if a > c.MinAssumedBrake {
 		a = c.MinAssumedBrake
@@ -196,7 +196,7 @@ func (c Config) AggressiveAssumedBrake(leadA float64) float64 {
 
 // RequiredGap returns the headway the stopping-distance criterion demands
 // at the given speeds under the given lead braking assumption.
-func (c Config) RequiredGap(egoV, leadV, assumedBrake float64) float64 {
+func (c *Config) RequiredGap(egoV, leadV, assumedBrake float64) float64 {
 	dbEgo := dynamics.StopDistance(egoV, c.Ego.AMin)
 	dbLead := dynamics.StopDistance(leadV, assumedBrake)
 	g := dbEgo - dbLead
@@ -208,12 +208,12 @@ func (c Config) RequiredGap(egoV, leadV, assumedBrake float64) float64 {
 
 // Violation reports whether the true states violate the unsafe set — the
 // scored safety outcome of an episode.
-func (c Config) Violation(ego, lead dynamics.State) bool {
+func (c *Config) Violation(ego, lead dynamics.State) bool {
 	return lead.P-ego.P < c.PGap
 }
 
 // ReachedGoal reports whether the ego has covered the episode distance.
-func (c Config) ReachedGoal(ego dynamics.State) bool { return ego.P >= c.Goal }
+func (c *Config) ReachedGoal(ego dynamics.State) bool { return ego.P >= c.Goal }
 
 // FeatureCount is the NN-planner input dimension for car following.
 const FeatureCount = 5
@@ -224,7 +224,7 @@ const noLeadGap = 1e3
 // Features assembles the 5-dimensional NN-planner input for car following:
 // (gap to worst-case lead, ego speed, lead speed estimate, lead accel
 // estimate, required gap under the planner's braking assumption).
-func (c Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake float64) []float64 {
+func (c *Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake float64) []float64 {
 	gap := noLeadGap
 	if !lead.P.IsEmpty() {
 		gap = lead.P.Lo - ego.P - c.PGap
@@ -239,7 +239,7 @@ func (c Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake flo
 }
 
 // FeatureBox returns a fresh interval feature box; see FeatureBoxInto.
-func (c Config) FeatureBox(ego dynamics.State, sound LeadEstimate, assumedBrake float64) []interval.Interval {
+func (c *Config) FeatureBox(ego dynamics.State, sound LeadEstimate, assumedBrake float64) []interval.Interval {
 	dst := make([]interval.Interval, FeatureCount)
 	c.FeatureBoxInto(dst, ego, sound, assumedBrake)
 	return dst
@@ -262,7 +262,7 @@ func (c Config) FeatureBox(ego dynamics.State, sound LeadEstimate, assumedBrake 
 // sound position interval means every consistent estimate has an empty
 // one too, so the gap feature is exactly the no-lead sentinel; an empty
 // velocity interval falls back to the point estimate carried alongside.
-func (c Config) FeatureBoxInto(dst []interval.Interval, ego dynamics.State, sound LeadEstimate, assumedBrake float64) {
+func (c *Config) FeatureBoxInto(dst []interval.Interval, ego dynamics.State, sound LeadEstimate, assumedBrake float64) {
 	if sound.P.IsEmpty() {
 		dst[0] = interval.Point(noLeadGap)
 	} else {

@@ -1,8 +1,9 @@
-package carfollow
+package carfollow_test
 
 import (
 	"testing"
 
+	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
 	"safeplan/internal/sim"
@@ -62,7 +63,9 @@ func ffModel(r *ffReader) disturb.Model {
 // FuzzCarFollowSafety decodes arbitrary bytes into a channel disturbance,
 // a sensing disturbance, and a scripted lead behaviour, and asserts the
 // framework's guarantees in the car-following scenario via the shared
-// invariant checkers threaded through the step loop (sim.Invariant).
+// invariant checkers threaded through the step loop (sim.Invariant).  The
+// episodes run on the platoon engine at two vehicles, the engine that
+// executes car following everywhere in this repository.
 func FuzzCarFollowSafety(f *testing.F) {
 	// Seed corpus: the three Table-style settings plus a hard-brake lead.
 	f.Add([]byte{}, int64(1))                        // perfect comms, stock lead
@@ -71,14 +74,14 @@ func FuzzCarFollowSafety(f *testing.F) {
 	f.Add([]byte{4, 60, 90, 128, 2, 0, 0}, int64(9)) // blackout then flaky
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, int64(3))  // lead slams the brakes (script of aMin)
 
-	sc := DefaultConfig()
-	agents := []Agent{
-		NewBasic(sc, ConservativeExpert(sc)),
-		NewBasic(sc, AggressiveExpert(sc)),
+	sc := carfollow.DefaultConfig()
+	agents := []carfollow.Agent{
+		carfollow.NewBasic(sc, carfollow.ConservativeExpert(sc)),
+		carfollow.NewBasic(sc, carfollow.AggressiveExpert(sc)),
 	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		r := &ffReader{data: data}
-		cfg := DefaultSimConfig()
+		cfg := carfollow.DefaultSimConfig()
 		if m := ffModel(r); m != nil {
 			cfg.Comms = comms.Disturbed(m)
 		}
@@ -113,10 +116,10 @@ func FuzzCarFollowSafety(f *testing.F) {
 		// Eq. 4 emergency invariant — the true-state stopping-distance slack
 		// stays nonnegative, so maximal braking from any visited state
 		// preserves the gap against every admissible lead behaviour.
-		_, err := RunEpisode(cfg, agent, sim.Options{Seed: seed, Invariants: []sim.Invariant{
+		_, err := runEpisode(cfg, agent, sim.Options{Seed: seed, Invariants: []sim.Invariant{
 			sim.NoCollision{},
 			sim.SoundEstimate{},
-			TrueSlack{Cfg: cfg.Scenario},
+			carfollow.TrueSlack{Cfg: cfg.Scenario},
 		}})
 		if err != nil {
 			t.Fatalf("invariant violated under %+v: %v", cfg.Comms, err)

@@ -1,9 +1,10 @@
-package carfollow
+package carfollow_test
 
 import (
 	"reflect"
 	"testing"
 
+	"safeplan/internal/carfollow"
 	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
 	"safeplan/internal/sim"
@@ -17,15 +18,15 @@ func TestGuardedCampaignParity(t *testing.T) {
 	const episodes = 12
 	cfg := simCfg()
 	cfg.InfoFilter = true
-	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	plain, err := RunCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
+	agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
+	plain, err := runCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gc := guard.DefaultConfig(cfg.Scenario.Ego)
 	cfg.Guard = &gc
-	a, err := RunCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
+	a, err := runCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestFaultPresetsContainedCarFollow(t *testing.T) {
 			cfg := simCfg()
 			cfg.InfoFilter = true
 			cfg.PlannerFault = m
-			agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+			agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 			for seed := int64(0); seed < 10; seed++ {
-				res, err := RunEpisode(cfg, agent, sim.Options{
+				res, err := runEpisode(cfg, agent, sim.Options{
 					Seed: seed,
 					Invariants: []sim.Invariant{
 						sim.NoCollision{},
 						sim.SoundEstimate{},
-						TrueSlack{Cfg: cfg.Scenario},
+						carfollow.TrueSlack{Cfg: cfg.Scenario},
 						sim.GuardConsistency{Limits: cfg.Scenario.Ego},
 					},
 				})

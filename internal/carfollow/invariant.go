@@ -13,9 +13,8 @@ import (
 // gap against every admissible lead behaviour — the emergency planner
 // always has a safe move available.
 //
-// This is the online form of the check the FuzzCarFollowSafety target used
-// to run over recorded traces; as an Invariant it also runs inside
-// campaigns and unit tests without recording anything.
+// As an Invariant it runs online — inside the platoon fuzz target,
+// campaigns and unit tests — without recording a trace.
 type TrueSlack struct {
 	sim.StepOnly
 	Cfg Config

@@ -1,29 +1,50 @@
-package carfollow
+package carfollow_test
 
 import (
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"safeplan/internal/campaign"
+	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
 	"safeplan/internal/eval"
+	"safeplan/internal/platoon"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
 )
 
-func simCfg() SimConfig { return DefaultSimConfig() }
+// The car-following behaviour tests run the scenario through the engine
+// that executes it everywhere in this repository: the platoon engine at
+// two vehicles.  They live in an external test package, which may import
+// platoon without an import cycle.
+
+func simCfg() carfollow.SimConfig { return carfollow.DefaultSimConfig() }
+
+// twoVehicle is the platoon config of a car-following run.
+func twoVehicle(cfg carfollow.SimConfig) platoon.SimConfig {
+	return platoon.SimConfig{SimConfig: cfg, Vehicles: 2}
+}
+
+func runEpisode(cfg carfollow.SimConfig, agent carfollow.Agent, opts sim.Options) (sim.Result, error) {
+	return platoon.RunEpisode(twoVehicle(cfg), agent, opts)
+}
+
+func runCampaign(cfg carfollow.SimConfig, agent carfollow.Agent, n int, o sim.CampaignOptions) ([]sim.Result, error) {
+	return sim.RunEpisodes(n, o, cfg.Validate, campaign.CarFollow(cfg, agent))
+}
 
 func TestSimValidate(t *testing.T) {
-	muts := map[string]func(*SimConfig){
-		"dtm":      func(c *SimConfig) { c.DtM = 0 },
-		"dts":      func(c *SimConfig) { c.DtS = -1 },
-		"horizon":  func(c *SimConfig) { c.Horizon = -1 },
-		"speeds":   func(c *SimConfig) { c.LeadSpeedMin = 10; c.LeadSpeedMax = 5 },
-		"comms":    func(c *SimConfig) { c.Comms.DropProb = 2 },
-		"sensor":   func(c *SimConfig) { c.Sensor.DeltaP = -1 },
-		"lead":     func(c *SimConfig) { c.Lead.BrakeAccel = 1 },
-		"scenario": func(c *SimConfig) { c.Scenario.PGap = 0 },
+	muts := map[string]func(*carfollow.SimConfig){
+		"dtm":      func(c *carfollow.SimConfig) { c.DtM = 0 },
+		"dts":      func(c *carfollow.SimConfig) { c.DtS = -1 },
+		"horizon":  func(c *carfollow.SimConfig) { c.Horizon = -1 },
+		"speeds":   func(c *carfollow.SimConfig) { c.LeadSpeedMin = 10; c.LeadSpeedMax = 5 },
+		"comms":    func(c *carfollow.SimConfig) { c.Comms.DropProb = 2 },
+		"sensor":   func(c *carfollow.SimConfig) { c.Sensor.DeltaP = -1 },
+		"lead":     func(c *carfollow.SimConfig) { c.Lead.BrakeAccel = 1 },
+		"scenario": func(c *carfollow.SimConfig) { c.Scenario.PGap = 0 },
 	}
 	for name, mut := range muts {
 		c := simCfg()
@@ -36,7 +57,7 @@ func TestSimValidate(t *testing.T) {
 
 func TestRunConservativeSafe(t *testing.T) {
 	cfg := simCfg()
-	r, err := RunEpisode(cfg, &Pure{Cfg: cfg.Scenario, Planner: ConservativeExpert(cfg.Scenario)}, sim.Options{Seed: 1})
+	r, err := runEpisode(cfg, &carfollow.Pure{Cfg: cfg.Scenario, Planner: carfollow.ConservativeExpert(cfg.Scenario)}, sim.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +78,13 @@ func TestRunConservativeSafe(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	cfg := simCfg()
 	cfg.Comms = comms.Delayed(0.25, 0.5)
-	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+	agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 	cfg.InfoFilter = true
-	a, err := RunEpisode(cfg, agent, sim.Options{Seed: 9})
+	a, err := runEpisode(cfg, agent, sim.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEpisode(cfg, agent, sim.Options{Seed: 9})
+	b, err := runEpisode(cfg, agent, sim.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +97,10 @@ func TestPureAggressiveUnsafeUnderDisturbance(t *testing.T) {
 	cfg := simCfg()
 	cfg.Comms = comms.Lost()
 	cfg.Sensor = sensor.Uniform(2)
-	agent := &Pure{Cfg: cfg.Scenario, Planner: AggressiveExpert(cfg.Scenario)}
+	agent := &carfollow.Pure{Cfg: cfg.Scenario, Planner: carfollow.AggressiveExpert(cfg.Scenario)}
 	violations := 0
 	for seed := int64(0); seed < 40; seed++ {
-		r, err := RunEpisode(cfg, agent, sim.Options{Seed: seed})
+		r, err := runEpisode(cfg, agent, sim.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,19 +116,19 @@ func TestPureAggressiveUnsafeUnderDisturbance(t *testing.T) {
 func TestCompoundAlwaysSafeAcrossSettings(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mut  func(*SimConfig)
+		mut  func(*carfollow.SimConfig)
 	}{
-		{"none", func(*SimConfig) {}},
-		{"delayed", func(c *SimConfig) { c.Comms = comms.Delayed(0.25, 0.5) }},
-		{"lost", func(c *SimConfig) { c.Comms = comms.Lost(); c.Sensor = sensor.Uniform(2) }},
+		{"none", func(*carfollow.SimConfig) {}},
+		{"delayed", func(c *carfollow.SimConfig) { c.Comms = comms.Delayed(0.25, 0.5) }},
+		{"lost", func(c *carfollow.SimConfig) { c.Comms = comms.Lost(); c.Sensor = sensor.Uniform(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := simCfg()
 			tc.mut(&cfg)
 			cfg.InfoFilter = true
-			agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+			agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 			for seed := int64(0); seed < 30; seed++ {
-				r, err := RunEpisode(cfg, agent, sim.Options{Seed: seed})
+				r, err := runEpisode(cfg, agent, sim.Options{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,13 +146,13 @@ func TestUltimateFasterThanBasic(t *testing.T) {
 	cfg := simCfg()
 	cfg.Comms = comms.Delayed(0.25, 0.5)
 	const n = 60
-	basicRs, err := RunCampaign(cfg, NewBasic(cfg.Scenario, AggressiveExpert(cfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
+	basicRs, err := runCampaign(cfg, carfollow.NewBasic(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ultCfg := cfg
 	ultCfg.InfoFilter = true
-	ultRs, err := RunCampaign(ultCfg, NewUltimate(ultCfg.Scenario, AggressiveExpert(ultCfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
+	ultRs, err := runCampaign(ultCfg, carfollow.NewUltimate(ultCfg.Scenario, carfollow.AggressiveExpert(ultCfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +167,13 @@ func TestUltimateFasterThanBasic(t *testing.T) {
 
 func TestRunCampaignPairsSeeds(t *testing.T) {
 	cfg := simCfg()
-	agent := &Pure{Cfg: cfg.Scenario, Planner: ConservativeExpert(cfg.Scenario)}
-	rs, err := RunCampaign(cfg, agent, 5, sim.CampaignOptions{BaseSeed: 30})
+	agent := &carfollow.Pure{Cfg: cfg.Scenario, Planner: carfollow.ConservativeExpert(cfg.Scenario)}
+	rs, err := runCampaign(cfg, agent, 5, sim.CampaignOptions{BaseSeed: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range rs {
-		single, err := RunEpisode(cfg, agent, sim.Options{Seed: 30 + int64(i)})
+		single, err := runEpisode(cfg, agent, sim.Options{Seed: 30 + int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +181,7 @@ func TestRunCampaignPairsSeeds(t *testing.T) {
 			t.Fatalf("episode %d differs from direct run", i)
 		}
 	}
-	if _, err := RunCampaign(cfg, agent, 0, sim.CampaignOptions{}); err == nil {
+	if _, err := runCampaign(cfg, agent, 0, sim.CampaignOptions{}); err == nil {
 		t.Fatal("zero episodes accepted")
 	}
 }
@@ -185,8 +206,8 @@ func TestQuickCarFollowEndToEnd(t *testing.T) {
 			cfg.Sensor = sensor.Uniform(1 + float64(u%10)*0.3)
 		}
 		cfg.InfoFilter = u%2 == 0
-		agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-		r, err := RunEpisode(cfg, agent, sim.Options{Seed: seed})
+		agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
+		r, err := runEpisode(cfg, agent, sim.Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -209,12 +230,12 @@ func TestRunCampaignDeterministic(t *testing.T) {
 	cfg.Comms = comms.Disturbed(m)
 	cfg.SensorDisturb = disturb.BiasDrift{Max: 1, Period: 12}
 	cfg.InfoFilter = true
-	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	a, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
+	agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
+	a, err := runCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
+	b, err := runCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +255,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg.Comms = comms.Disturbed(m)
 	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
 	run := func(workers int) []sim.Result {
-		agent := NewBasic(cfg.Scenario, ConservativeExpert(cfg.Scenario))
-		rs, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7, Workers: workers})
+		agent := carfollow.NewBasic(cfg.Scenario, carfollow.ConservativeExpert(cfg.Scenario))
+		rs, err := runCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

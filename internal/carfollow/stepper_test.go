@@ -1,10 +1,12 @@
-package carfollow
+package carfollow_test
 
 import (
 	"encoding/json"
 	"testing"
 
+	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
+	"safeplan/internal/platoon"
 	"safeplan/internal/sim"
 )
 
@@ -17,18 +19,19 @@ func cfJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestStepperRunParity pins the car-following half of the ownership
-// inversion: an externally driven Stepper — fresh and with a reused
-// arena (the pooled ExtEngine path) — must reproduce RunEpisode byte for
-// byte under every disturbance shape the package exercises.
+// TestStepperRunParity pins the car-following engine contract (the
+// platoon engine at two vehicles): an externally driven Stepper — fresh
+// and with a reused arena (the pooled ExtEngine path) — must reproduce
+// the closed-loop episode byte for byte under every disturbance shape the
+// package exercises.
 func TestStepperRunParity(t *testing.T) {
 	cases := []struct {
 		name string
-		mod  func(*SimConfig)
+		mod  func(*carfollow.SimConfig)
 	}{
-		{"perfect", func(*SimConfig) {}},
-		{"delayed", func(c *SimConfig) { c.Comms = comms.Delayed(0.25, 0.5) }},
-		{"lost", func(c *SimConfig) { c.Comms = comms.Lost() }},
+		{"perfect", func(*carfollow.SimConfig) {}},
+		{"delayed", func(c *carfollow.SimConfig) { c.Comms = comms.Delayed(0.25, 0.5) }},
+		{"lost", func(c *carfollow.SimConfig) { c.Comms = comms.Lost() }},
 	}
 	reused := sim.NewScratch()
 	for _, tc := range cases {
@@ -36,9 +39,9 @@ func TestStepperRunParity(t *testing.T) {
 			cfg := simCfg()
 			cfg.InfoFilter = true
 			tc.mod(&cfg)
-			agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+			agent := carfollow.NewUltimate(cfg.Scenario, carfollow.AggressiveExpert(cfg.Scenario))
 			for seed := int64(0); seed < 8; seed++ {
-				want, err := RunEpisode(cfg, agent, sim.Options{Seed: seed})
+				want, err := runEpisode(cfg, agent, sim.Options{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,7 +50,7 @@ func TestStepperRunParity(t *testing.T) {
 					"fresh":  {Seed: seed},
 					"pooled": {Seed: seed, Scratch: reused},
 				} {
-					st, err := NewStepper(cfg, agent, opts)
+					st, err := platoon.NewStepper(twoVehicle(cfg), agent, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -70,10 +73,11 @@ func TestStepperRunParity(t *testing.T) {
 }
 
 // TestStepperFinishIdempotent pins Finish/past-the-end semantics on the
-// carfollow engine (the sim-side contract test covers the leftturn one).
+// car-following engine (the sim-side contract test covers the leftturn
+// one).
 func TestStepperFinishIdempotent(t *testing.T) {
 	cfg := simCfg()
-	st, err := NewStepper(cfg, NewUltimate(cfg.Scenario, ConservativeExpert(cfg.Scenario)), sim.Options{Seed: 2})
+	st, err := platoon.NewStepper(twoVehicle(cfg), carfollow.NewUltimate(cfg.Scenario, carfollow.ConservativeExpert(cfg.Scenario)), sim.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

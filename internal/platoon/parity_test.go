@@ -1,8 +1,13 @@
 package platoon
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"safeplan/internal/carfollow"
@@ -27,19 +32,43 @@ func pJSON(t *testing.T, v any) string {
 // rendering is exact for every other value and stable for NaN.
 func pDump(v any) string { return fmt.Sprintf("%+v", v) }
 
-// parityCases are the disturbance shapes the byte-parity differential
-// covers: every channel family, adversarial bursts, sensing faults, and
-// the fault-injection guard.
-func parityCases(t *testing.T) []struct {
-	name string
-	mod  func(*carfollow.SimConfig)
-} {
+// carFollowGoldenPath holds the car-following episodes a two-vehicle
+// platoon must reproduce byte for byte.  The file was blessed from the
+// retired stand-alone car-following engine, so it pins that engine's
+// behaviour: re-bless with -update only for an intentional change.
+var carFollowGoldenPath = filepath.Join("testdata", "golden_carfollow.json")
+
+// carFollowGolden is one blessed (case, seed) episode.
+type carFollowGolden struct {
+	Case string `json:"case"`
+	Seed int64  `json:"seed"`
+	// Result is json.Marshal of the untraced Result; it also pins that a
+	// two-vehicle platoon emits no Links block.
+	Result string `json:"result"`
+	// TraceSHA256 is the SHA-256 of pDump of the traced Result.
+	TraceSHA256 string `json:"trace_sha256"`
+}
+
+// twoVehicleCase is one golden configuration of the car-following study.
+type twoVehicleCase struct {
+	name  string
+	cfg   carfollow.SimConfig
+	seed0 int64 // seeds seed0 … seed0+5
+	invs  []sim.Invariant
+}
+
+// twoVehicleCases are the disturbance shapes the golden covers — every
+// channel family, adversarial bursts, sensing faults — plus a delayed
+// case with the safety invariants attached, pinning that the invariant
+// plumbing (step payloads, episode checks) does not perturb the episode.
+func twoVehicleCases(t *testing.T) []twoVehicleCase {
 	t.Helper()
 	burst, err := disturb.Preset("burst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
+	var cases []twoVehicleCase
+	for _, m := range []struct {
 		name string
 		mod  func(*carfollow.SimConfig)
 	}{
@@ -51,86 +80,121 @@ func parityCases(t *testing.T) []struct {
 			c.Comms = comms.Lost()
 			c.SensorDisturb = disturb.BiasDrift{Max: 1, Period: 12}
 		}},
+	} {
+		cfg := carfollow.DefaultSimConfig()
+		m.mod(&cfg)
+		cases = append(cases, twoVehicleCase{name: m.name, cfg: cfg})
 	}
+	inv := carfollow.DefaultSimConfig()
+	inv.Comms = comms.Delayed(0.25, 0.5)
+	inv.InfoFilter = true
+	return append(cases, twoVehicleCase{
+		name: "invariants", cfg: inv, seed0: 20,
+		invs: []sim.Invariant{
+			sim.NoCollision{},
+			sim.SoundEstimate{},
+			carfollow.TrueSlack{Cfg: inv.Scenario},
+			StringStability{},
+		},
+	})
 }
 
-// TestTwoVehicleByteParity is the tentpole differential gate: a
-// two-vehicle platoon must reproduce the car-following episode byte for
-// byte at matched config and seed — full Result including the trace —
-// under every disturbance shape, on both the fresh and the pooled-arena
-// paths.
-func TestTwoVehicleByteParity(t *testing.T) {
-	reused := sim.NewScratch()
-	for _, tc := range parityCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			cf := carfollow.DefaultSimConfig()
-			tc.mod(&cf)
-			agent := carfollow.NewUltimate(cf.Scenario, carfollow.AggressiveExpert(cf.Scenario))
-			pcfg := SimConfig{SimConfig: cf, Vehicles: 2}
-			for seed := int64(0); seed < 6; seed++ {
-				want, err := carfollow.RunEpisode(cf, agent, sim.Options{Seed: seed, Trace: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := pDump(want)
-				for name, opts := range map[string]sim.Options{
-					"fresh":  {Seed: seed, Trace: true},
-					"pooled": {Seed: seed, Trace: true, Scratch: reused},
-				} {
-					got, err := RunEpisode(pcfg, agent, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g := pDump(got); g != ref {
-						t.Fatalf("seed %d (%s): two-vehicle platoon diverged from carfollow\ncarfollow: %s\nplatoon:   %s",
-							seed, name, ref, g)
-					}
-				}
-				// Untraced results must also serialize to identical JSON —
-				// in particular, a two-vehicle platoon must not emit the
-				// Links block the longer chains carry.
-				cw, err := carfollow.RunEpisode(cf, agent, sim.Options{Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				pw, err := RunEpisode(pcfg, agent, sim.Options{Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := pJSON(t, cw), pJSON(t, pw); a != b {
-					t.Fatalf("seed %d: JSON serialization diverged\ncarfollow: %s\nplatoon:   %s", seed, a, b)
-				}
+// twoVehicleEntry runs one (case, seed) episode on a two-vehicle platoon,
+// traced and untraced, through the given arena (nil for fresh state).
+func twoVehicleEntry(t *testing.T, tc twoVehicleCase, seed int64, sh *sim.Scratch) carFollowGolden {
+	t.Helper()
+	agent := carfollow.NewUltimate(tc.cfg.Scenario, carfollow.AggressiveExpert(tc.cfg.Scenario))
+	pcfg := SimConfig{SimConfig: tc.cfg, Vehicles: 2}
+	traced, err := RunEpisode(pcfg, agent, sim.Options{Seed: seed, Trace: true, Invariants: tc.invs, Scratch: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := RunEpisode(pcfg, agent, sim.Options{Seed: seed, Invariants: tc.invs, Scratch: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(pDump(traced)))
+	return carFollowGolden{Case: tc.name, Seed: seed, Result: pJSON(t, plain), TraceSHA256: hex.EncodeToString(sum[:])}
+}
+
+// loadCarFollowGolden reads the blessed file, or with -update re-blesses
+// it from fresh runs of every case first.
+func loadCarFollowGolden(t *testing.T) map[string]carFollowGolden {
+	t.Helper()
+	if *update {
+		var all []carFollowGolden
+		for _, tc := range twoVehicleCases(t) {
+			for seed := tc.seed0; seed < tc.seed0+6; seed++ {
+				all = append(all, twoVehicleEntry(t, tc, seed, nil))
 			}
-		})
+		}
+		out, err := json.MarshalIndent(all, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(carFollowGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(carFollowGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/platoon -run TestTwoVehicle -update` to bless)", err)
+	}
+	var all []carFollowGolden
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&all); err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[string]carFollowGolden, len(all))
+	for _, g := range all {
+		byKey[fmt.Sprintf("%s/%d", g.Case, g.Seed)] = g
+	}
+	return byKey
+}
+
+// checkTwoVehicleCase compares one case, fresh and pooled, against the
+// blessed car-following episodes.
+func checkTwoVehicleCase(t *testing.T, tc twoVehicleCase, golden map[string]carFollowGolden, reused *sim.Scratch) {
+	t.Helper()
+	for seed := tc.seed0; seed < tc.seed0+6; seed++ {
+		want, ok := golden[fmt.Sprintf("%s/%d", tc.name, seed)]
+		if !ok {
+			t.Fatalf("seed %d: no blessed episode in %s", seed, carFollowGoldenPath)
+		}
+		for name, sh := range map[string]*sim.Scratch{"fresh": nil, "pooled": reused} {
+			got := twoVehicleEntry(t, tc, seed, sh)
+			if got.Result != want.Result {
+				t.Fatalf("seed %d (%s): untraced result diverged from car following\nblessed:  %s\nplatoon:  %s",
+					seed, name, want.Result, got.Result)
+			}
+			if got.TraceSHA256 != want.TraceSHA256 {
+				t.Fatalf("seed %d (%s): traced result diverged from car following", seed, name)
+			}
+		}
 	}
 }
 
-// TestTwoVehicleParityWithInvariants repeats the differential with the
-// safety invariants attached, pinning that the invariant plumbing (step
-// payloads, episode checks) does not perturb the episode either.
-func TestTwoVehicleParityWithInvariants(t *testing.T) {
-	cf := carfollow.DefaultSimConfig()
-	cf.Comms = comms.Delayed(0.25, 0.5)
-	cf.InfoFilter = true
-	agent := carfollow.NewUltimate(cf.Scenario, carfollow.AggressiveExpert(cf.Scenario))
-	pcfg := SimConfig{SimConfig: cf, Vehicles: 2}
-	invs := []sim.Invariant{
-		sim.NoCollision{},
-		sim.SoundEstimate{},
-		carfollow.TrueSlack{Cfg: cf.Scenario},
-		StringStability{},
+// TestTwoVehicleByteParity is the car-following byte-identity gate: a
+// two-vehicle platoon must reproduce the blessed car-following episodes
+// byte for byte — untraced JSON and full traced Result — under every
+// disturbance shape, on both the fresh and the pooled-arena paths.
+func TestTwoVehicleByteParity(t *testing.T) {
+	golden := loadCarFollowGolden(t)
+	reused := sim.NewScratch()
+	for _, tc := range twoVehicleCases(t) {
+		if tc.invs != nil {
+			continue // TestTwoVehicleParityWithInvariants
+		}
+		t.Run(tc.name, func(t *testing.T) { checkTwoVehicleCase(t, tc, golden, reused) })
 	}
-	for seed := int64(20); seed < 26; seed++ {
-		want, err := carfollow.RunEpisode(cf, agent, sim.Options{Seed: seed, Trace: true, Invariants: invs[:3]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunEpisode(pcfg, agent, sim.Options{Seed: seed, Trace: true, Invariants: invs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pDump(want) != pDump(got) {
-			t.Fatalf("seed %d: invariant-checked platoon episode diverged from carfollow", seed)
+}
+
+// TestTwoVehicleParityWithInvariants repeats the gate with the safety
+// invariants attached.
+func TestTwoVehicleParityWithInvariants(t *testing.T) {
+	golden := loadCarFollowGolden(t)
+	for _, tc := range twoVehicleCases(t) {
+		if tc.invs != nil {
+			checkTwoVehicleCase(t, tc, golden, sim.NewScratch())
 		}
 	}
 }

@@ -23,8 +23,9 @@
 // above the scenario's PGap (FixedGap, the paper's §II-A set), or — as a
 // config switch — above the ReachMM ACC time-gap requirement
 // DDefault + TGap·v_follower (TimeGap).  A two-vehicle platoon under
-// FixedGap reproduces the car-following episode byte for byte at matched
-// config and seed; the differential test pins this.
+// FixedGap is the car-following episode: every car-following run in this
+// repository goes through this engine, and a golden of the blessed
+// car-following episodes pins it byte for byte.
 package platoon
 
 import (
@@ -208,14 +209,14 @@ func (c SimConfig) spacing() float64 {
 }
 
 // dDefault and tGap resolve the TimeGap constants.
-func (c SimConfig) dDefault() float64 {
+func (c *SimConfig) dDefault() float64 {
 	if c.DDefault > 0 {
 		return c.DDefault
 	}
 	return DefaultDDefault
 }
 
-func (c SimConfig) tGap() float64 {
+func (c *SimConfig) tGap() float64 {
 	if c.TGap > 0 {
 		return c.TGap
 	}
@@ -240,7 +241,7 @@ func (c SimConfig) LinkScenario() carfollow.Config {
 
 // RequiredGap returns the minimum admissible bumper gap for a follower
 // moving at speed v under the configured spec.
-func (c SimConfig) RequiredGap(v float64) float64 {
+func (c *SimConfig) RequiredGap(v float64) float64 {
 	if c.Spec == TimeGap {
 		return c.dDefault() + c.tGap()*v
 	}
@@ -251,7 +252,7 @@ func (c SimConfig) RequiredGap(v float64) float64 {
 // configured pairwise unsafe set — the scored safety outcome, evaluated
 // on true states.  Under FixedGap it is exactly the car-following
 // Violation predicate.
-func (c SimConfig) GapViolation(pred, foll dynamics.State) bool {
+func (c *SimConfig) GapViolation(pred, foll dynamics.State) bool {
 	return pred.P-foll.P < c.RequiredGap(foll.V)
 }
 

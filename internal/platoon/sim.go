@@ -1,16 +1,14 @@
 package platoon
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"safeplan/internal/carfollow"
 	"safeplan/internal/sim"
 )
 
 // RunEpisode simulates one platoon episode under the shared episode
-// options (trace recording, telemetry collector).  Like carfollow's
-// RunEpisode it is a thin closed loop over the resumable Stepper engine.
+// options (trace recording, telemetry collector).  Like sim.Run it is a
+// thin closed loop over the resumable Stepper engine; a two-vehicle
+// chain is the car-following episode.
 func RunEpisode(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (sim.Result, error) {
 	st, err := NewStepper(cfg, agent, opts)
 	if err != nil {
@@ -22,34 +20,4 @@ func RunEpisode(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (sim.Res
 			return st.Finish()
 		}
 	}
-}
-
-// RunCampaign simulates n seed-paired platoon episodes with the shared
-// campaign options (worker bound, telemetry collector).
-func RunCampaign(cfg SimConfig, agent carfollow.Agent, n int, o sim.CampaignOptions) ([]sim.Result, error) {
-	if o.Workers < 0 {
-		return nil, fmt.Errorf("platoon: worker count %d must be >= 1 (0 selects GOMAXPROCS)", o.Workers)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("platoon: non-positive episode count %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]sim.Result, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	scratches := sim.NewWorkerScratches(o.Workers, n)
-	sim.ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = RunEpisode(cfg, agent, o.EpisodeOptions(i, scratches[w]))
-		if o.Collector != nil {
-			o.Collector.OnProgress(done.Add(1), int64(n))
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("platoon: episode %d: %w", i, err)
-		}
-	}
-	return results, nil
 }

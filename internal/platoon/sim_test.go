@@ -219,7 +219,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
 	agent := ultimate(cfg)
 	run := func(workers int) string {
-		rs, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7, Workers: workers})
+		rs, err := sim.RunEpisodes(24, sim.CampaignOptions{BaseSeed: 7, Workers: workers}, cfg.Validate,
+			func(o sim.Options) (sim.Result, error) { return RunEpisode(cfg, agent, o) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,5 +232,20 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if a, b := run(1), run(8); a != b {
 		t.Fatal("platoon campaign differs between 1 and 8 workers")
+	}
+}
+
+// TestInjectedLinkRouting pins where streamed events land: by 1-based
+// vehicle index on a longer chain, and always on the one link of a
+// two-vehicle (car-following) chain, whose sessions fuse every injected
+// event whatever its index.
+func TestInjectedLinkRouting(t *testing.T) {
+	for _, c := range []struct{ vehicle, links, want int }{
+		{0, 1, 0}, {1, 1, 0}, {7, 1, 0},
+		{0, 3, -1}, {1, 3, 0}, {3, 3, 2}, {4, 3, -1},
+	} {
+		if got := injectedLink(c.vehicle, c.links); got != c.want {
+			t.Errorf("injectedLink(%d, %d) = %d, want %d", c.vehicle, c.links, got, c.want)
+		}
 	}
 }

@@ -31,18 +31,19 @@ type link struct {
 	haveMeas bool
 }
 
-// Stepper is the platoon twin of carfollow.Stepper: a resumable episode
-// engine over the N-vehicle chain, sharing sim's StepInput / StepOutcome
-// vocabulary.  Injected messages are routed to link Sender−1 and injected
-// readings to link Target−1 (1-based vehicle indices, matching the
-// engine's own traffic).
+// Stepper is the resumable episode engine over the N-vehicle chain,
+// sharing sim's StepInput / StepOutcome vocabulary.  Injected messages are
+// routed to link Sender−1 and injected readings to link Target−1 (1-based
+// vehicle indices, matching the engine's own traffic); a two-vehicle
+// chain has one link, which takes every injected event, as the left-turn
+// engine's single filter does.
 //
-// For Vehicles = 2 the per-step work — RNG derivation, channel/sensor/
-// filter traffic, monitor decisions, trace layout, termination — is
-// operation-for-operation the car-following engine's, which is what the
-// byte-parity differential test pins.
+// At Vehicles = 2 it is the car-following engine: the per-step work — RNG
+// derivation, channel/sensor/filter traffic, monitor decisions, trace
+// layout, termination — reproduces the blessed car-following episodes
+// byte for byte (testdata/golden_carfollow.json).
 //
-// The same lifetime rules apply as for carfollow.Stepper: not safe for
+// The same lifetime rules apply as for sim.Stepper: not safe for
 // concurrent use, and pooled inside the arena's opaque external-engine
 // slot when Options.Scratch is set.
 type Stepper struct {
@@ -80,7 +81,6 @@ type Stepper struct {
 	env   func() (float64, float64, bool)
 
 	t float64
-	k carfollow.Knowledge
 
 	dt       float64
 	maxSteps int
@@ -124,8 +124,9 @@ func grown[T any](s []T, n int) []T {
 // extended link by link: head driver, then for each link ℓ = 0..N−2 the
 // channel and sensor streams, then the init stream, then (last, under the
 // legacy compatibility rule) the per-link sensing-disturbance streams in
-// link order, then the guard/fault streams.  With Vehicles = 2 the
-// derivation collapses exactly to carfollow.NewStepper's.
+// link order, then the guard/fault streams.  With Vehicles = 2 this is
+// the car-following order: driver, channel, sensor, init, disturbance,
+// guard.
 func NewStepper(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (*Stepper, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -203,8 +204,8 @@ func NewStepper(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (*Steppe
 		st.states[i] = dynamics.State{P: sc.EgoInit.P - float64(i-1)*sp, V: sc.EgoInit.V}
 	}
 	if cfg.LeadSpeedMax > 0 {
-		// One draw, as in carfollow: the whole chain starts at the sampled
-		// equilibrium speed.
+		// One draw, as in car following: the whole chain starts at the
+		// sampled equilibrium speed.
 		v := cfg.LeadSpeedMin + initRng.Float64()*(cfg.LeadSpeedMax-cfg.LeadSpeedMin)
 		for i := range st.states {
 			st.states[i].V = v
@@ -247,10 +248,11 @@ func NewStepper(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (*Steppe
 		// Built once per pooled Stepper: the closures read the receiver's
 		// fields at call time.  The NN vehicle is states[1]; its knowledge
 		// is link 0's, refreshed each step before the guard runs.
-		st.plan = func() (float64, bool) { return st.agent.Accel(st.t, st.states[1], st.k) }
+		st.plan = func() (float64, bool) { return st.agent.Accel(st.t, st.states[1], st.links[0].k) }
 		st.emerg = func() float64 { return st.sc.EmergencyAccel(st.states[1]) }
 		st.env = func() (float64, float64, bool) {
-			if st.sc.InUnsafeSet(st.states[1], st.k.Sound) || st.sc.InBoundarySafeSet(st.states[1], st.k.Sound) {
+			k := &st.links[0].k
+			if st.sc.InUnsafeSet(st.states[1], k.Sound) || st.sc.InBoundarySafeSet(st.states[1], k.Sound) {
 				return 0, 0, false
 			}
 			return st.sc.Ego.AMin, st.sc.Ego.AMax, true
@@ -298,20 +300,20 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 	st.t = float64(step) * st.dt
 	t := st.t
 	cfg := &st.cfg
-	sc := st.sc
+	sc := &st.sc
 	res := &st.res
 	links := st.links
 
 	// 0. Externally streamed events (sessions only; empty in closed-loop runs),
 	// routed to links by 1-based vehicle index.
 	for _, m := range in.Messages {
-		if m.Sender >= 1 && m.Sender <= len(links) {
-			links[m.Sender-1].filt.OnMessage(m)
+		if l := injectedLink(m.Sender, len(links)); l >= 0 {
+			links[l].filt.OnMessage(m)
 		}
 	}
 	for _, r := range in.Readings {
-		if r.Target >= 1 && r.Target <= len(links) {
-			links[r.Target-1].filt.OnReading(r)
+		if l := injectedLink(r.Target, len(links)); l >= 0 {
+			links[l].filt.OnReading(r)
 		}
 	}
 
@@ -345,25 +347,22 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 				lk.filt.OnReading(lk.lastMeas)
 			}
 		}
-		est := lk.filt.EstimateAt(t)
-		lk.est = est
+		lk.est = lk.filt.EstimateAt(t)
+		est := &lk.est
 		if !est.P.Contains(pred.P) || !est.V.Contains(pred.V) {
 			res.FusedIntervalMisses++
 		}
 		if !est.SoundP.Contains(pred.P) || !est.SoundV.Contains(pred.V) {
 			res.SoundViolations++
 		}
-		lk.k = carfollow.Knowledge{
-			Sound: carfollow.LeadEstimate{P: est.SoundP, V: est.SoundV,
-				PointP: est.PointP, PointV: est.PointV, A: est.A},
-			Fused: carfollow.LeadEstimate{P: est.P, V: est.V,
-				PointP: est.PointP, PointV: est.PointV, A: est.A},
-		}
+		lk.k.Sound = carfollow.LeadEstimate{P: est.SoundP, V: est.SoundV,
+			PointP: est.PointP, PointV: est.PointV, A: est.A}
+		lk.k.Fused = carfollow.LeadEstimate{P: est.P, V: est.V,
+			PointP: est.PointP, PointV: est.PointV, A: est.A}
 	}
-	st.k = links[0].k
 
-	// 2. NN vehicle under the guard, timed for telemetry exactly as in
-	// carfollow (the probe reports link 0, the NN vehicle's own link).
+	// 2. NN vehicle under the guard, timed for telemetry (the probe reports
+	// link 0, the NN vehicle's own link).
 	var a0 float64
 	var emergency bool
 	var gres guard.StepResult
@@ -377,7 +376,7 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 		a0, emergency = st.plan()
 	}
 	if st.coll != nil {
-		est := links[0].est
+		est := &links[0].est
 		st.coll.OnStep(telemetry.StepProbe{
 			T:          t,
 			Emergency:  emergency,
@@ -435,7 +434,7 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 		// plays the oncoming vehicle's role, the passing-window columns are
 		// NaN — byte-identical to the car-following trace at N = 2.
 		lk := &links[0]
-		est := lk.est
+		est := &lk.est
 		s := sim.Sample{
 			T:    t,
 			EgoP: st.states[1].P, EgoV: st.states[1].V, EgoA: a0,
@@ -511,6 +510,19 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 		out.Done = true
 	}
 	return out, nil
+}
+
+// injectedLink maps an injected event's 1-based vehicle index to its link,
+// or −1 when it names no link.  A single-link chain (car following) fuses
+// every injected event, whatever its index.
+func injectedLink(vehicle, links int) int {
+	switch {
+	case links == 1:
+		return 0
+	case vehicle >= 1 && vehicle <= links:
+		return vehicle - 1
+	}
+	return -1
 }
 
 // terminalOutcome summarizes a finished (or failed) episode for repeated

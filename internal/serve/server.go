@@ -1,7 +1,8 @@
 // Package serve hosts the compound planner as a long-running streaming
 // service: many concurrent vehicle *sessions*, each a resumable episode
-// engine (sim.Stepper, sim.MultiStepper, or carfollow.Stepper) fed by
-// streamed V2V/sensor events over a line-delimited JSON protocol.
+// engine (sim.Stepper, sim.MultiStepper, or a two-vehicle platoon.Stepper
+// for car following) fed by streamed V2V/sensor events over a
+// line-delimited JSON protocol.
 //
 // Ownership model: sessions are sharded by SID hash across a fixed pool
 // of worker goroutines.  All engine access happens on the owning shard's

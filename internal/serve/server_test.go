@@ -13,7 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
+	"safeplan/internal/core"
+	"safeplan/internal/planner"
+	"safeplan/internal/platoon"
+	"safeplan/internal/sim"
 )
 
 // newTestServer starts a server on a loopback listener and tears it down
@@ -80,14 +85,46 @@ func (c *testClient) stepToEnd(sid string, batch int) Response {
 	return Response{}
 }
 
+// offlineRun runs the default session episode of each scenario (ultimate
+// design, conservative expert, clean comms) in the closed loop, outside
+// the server.
+var offlineRun = map[string]func(seed int64) (sim.Result, error){
+	ScenarioLeftTurn: func(seed int64) (sim.Result, error) {
+		cfg := sim.DefaultConfig()
+		cfg.InfoFilter = true
+		return sim.Run(cfg, core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario)), sim.Options{Seed: seed})
+	},
+	ScenarioMulti: func(seed int64) (sim.Result, error) {
+		cfg := sim.DefaultMultiConfig()
+		cfg.InfoFilter = true
+		return sim.RunMulti(cfg, core.NewMultiUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario)), sim.Options{Seed: seed})
+	},
+	ScenarioCarFollow: func(seed int64) (sim.Result, error) {
+		cfg := carfollow.DefaultSimConfig()
+		cfg.InfoFilter = true
+		agent := carfollow.NewUltimate(cfg.Scenario, carfollow.ConservativeExpert(cfg.Scenario))
+		return platoon.RunEpisode(platoon.SimConfig{SimConfig: cfg, Vehicles: 2}, agent, sim.Options{Seed: seed})
+	},
+}
+
+// TestOpenStepCloseLifecycle drives one session of every scenario through
+// open, step-to-end, past-the-end step and close, and requires the
+// session's terminal result to equal the offline closed-loop episode at
+// the same seed.
 func TestOpenStepCloseLifecycle(t *testing.T) {
+	for _, scenario := range []string{ScenarioLeftTurn, ScenarioMulti, ScenarioCarFollow} {
+		t.Run(scenario, func(t *testing.T) { testLifecycle(t, scenario) })
+	}
+}
+
+func testLifecycle(t *testing.T, scenario string) {
 	srv, addr := newTestServer(t, Config{Shards: 2})
 	cl := dialTest(t, addr)
 
 	if resp := cl.do(Request{Op: OpPing}); !resp.OK {
 		t.Fatalf("ping: %+v", resp)
 	}
-	if resp := cl.do(Request{Op: OpOpen, SID: "a", Seed: 3}); !resp.OK {
+	if resp := cl.do(Request{Op: OpOpen, SID: "a", Scenario: scenario, Seed: 3}); !resp.OK {
 		t.Fatalf("open: %+v", resp)
 	}
 	final := cl.stepToEnd("a", 25)
@@ -95,7 +132,14 @@ func TestOpenStepCloseLifecycle(t *testing.T) {
 		t.Fatalf("terminal step carries no result: %+v", final)
 	}
 	if !final.Result.Reached || final.Result.Collided {
-		t.Fatalf("default leftturn/ultimate episode should reach safely: %+v", final.Result)
+		t.Fatalf("default %s/ultimate episode should reach safely: %+v", scenario, final.Result)
+	}
+	offline, err := offlineRun[scenario](3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := summarize(offline); *final.Result != *want {
+		t.Fatalf("session result differs from the offline episode\nsession: %+v\noffline: %+v", final.Result, want)
 	}
 	// Stepping past the end returns the terminal outcome, unchanged.
 	over := cl.do(Request{Op: OpStep, SID: "a"})

@@ -11,11 +11,12 @@ import (
 	"safeplan/internal/core"
 	"safeplan/internal/disturb"
 	"safeplan/internal/planner"
+	"safeplan/internal/platoon"
 	"safeplan/internal/sim"
 )
 
 // engine is the resumable-stepper contract every scenario engine
-// satisfies (sim.Stepper, sim.MultiStepper, carfollow.Stepper): advance
+// satisfies (sim.Stepper, sim.MultiStepper, platoon.Stepper): advance
 // one control step with optional streamed events, then settle the
 // episode result exactly once.
 type engine interface {
@@ -204,7 +205,7 @@ func buildEngine(req Request, opts sim.Options) (engine, error) {
 		default:
 			return nil, fmt.Errorf("serve: unknown design %q", design)
 		}
-		return carfollow.NewStepper(cfg, agent, opts)
+		return platoon.NewStepper(platoon.SimConfig{SimConfig: cfg, Vehicles: 2}, agent, opts)
 	}
 	return nil, fmt.Errorf("serve: unknown scenario %q", req.Scenario)
 }

@@ -9,22 +9,22 @@ import (
 	"safeplan/internal/core"
 )
 
-// CampaignOptions selects campaign-level behaviour shared by the
-// left-turn, multi-vehicle, and car-following campaign runners.  It
-// embeds the per-episode Options, which the runners replicate for every
-// episode: the Collector and Invariants fields apply to each episode
-// (shared across workers, so both must be concurrency-safe/stateless —
-// which telemetry.Metrics and every shipped Invariant are), while the
-// embedded Seed, Trace, and Scratch fields are ignored — the campaign
-// seeds episode i with BaseSeed+i, never records traces, and manages one
-// arena per worker itself.
+// CampaignOptions selects campaign-level behaviour shared by every
+// scenario's campaign runner (RunEpisodes).  It embeds the per-episode
+// Options, which the runners replicate for every episode: the Collector
+// and Invariants fields apply to each episode (shared across workers, so
+// both must be concurrency-safe/stateless — which telemetry.Metrics and
+// every shipped Invariant are), while the embedded Seed, Trace, and
+// Scratch fields are ignored — the campaign seeds episode i with
+// BaseSeed+i, never records traces, and manages one arena per worker
+// itself.
 type CampaignOptions struct {
 	Options
 
 	// BaseSeed seeds episode i with BaseSeed+i.
 	BaseSeed int64
 	// Workers bounds the number of concurrent episode goroutines; 0
-	// selects GOMAXPROCS.  Negative counts are rejected by the runners.
+	// selects GOMAXPROCS.  Negative counts are rejected.
 	Workers int
 }
 
@@ -35,13 +35,12 @@ func (o CampaignOptions) validate() error {
 	return nil
 }
 
-// EpisodeOptions derives episode i's Options from the
-// embedded episode options: per-campaign seed pairing and per-worker
-// arenas override the corresponding embedded fields, and Trace stays off
-// (a campaign's worth of traces would defeat the allocation-free hot
-// path; run a single traced episode instead).  Exported for the sibling
-// scenario packages' campaign runners.
-func (o CampaignOptions) EpisodeOptions(i int, scratch *Scratch) Options {
+// episodeOptions derives episode i's Options from the embedded episode
+// options: per-campaign seed pairing and per-worker arenas override the
+// corresponding embedded fields, and Trace stays off (a campaign's worth
+// of traces would defeat the allocation-free hot path; run a single
+// traced episode instead).
+func (o CampaignOptions) episodeOptions(i int, scratch *Scratch) Options {
 	epo := o.Options
 	epo.Seed = o.BaseSeed + int64(i)
 	epo.Trace = false
@@ -59,13 +58,22 @@ func (o CampaignOptions) EpisodeOptions(i int, scratch *Scratch) Options {
 // repository is); per-episode state (filters, channels, drivers) is
 // created inside Run.
 func RunCampaign(cfg Config, agent core.Agent, n int, o CampaignOptions) ([]Result, error) {
+	return RunEpisodes(n, o, cfg.Validate, func(opts Options) (Result, error) { return Run(cfg, agent, opts) })
+}
+
+// RunEpisodes is the campaign fan-out every scenario shares: it checks
+// the worker and episode counts, runs validate once, then runs episode i
+// with o.episodeOptions(i, ·) on one arena per worker, reporting progress
+// to o.Collector.  Results are in seed order; the first failing episode's
+// error is returned.
+func RunEpisodes(n int, o CampaignOptions, validate func() error, run func(Options) (Result, error)) ([]Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: non-positive episode count %d", n)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := validate(); err != nil {
 		return nil, err
 	}
 	results := make([]Result, n)
@@ -73,7 +81,7 @@ func RunCampaign(cfg Config, agent core.Agent, n int, o CampaignOptions) ([]Resu
 	var done atomic.Int64
 	scratches := NewWorkerScratches(o.Workers, n)
 	ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = Run(cfg, agent, o.EpisodeOptions(i, scratches[w]))
+		results[i], errs[i] = run(o.episodeOptions(i, scratches[w]))
 		if o.Collector != nil {
 			o.Collector.OnProgress(done.Add(1), int64(n))
 		}
@@ -141,8 +149,3 @@ func ParallelForWorkersScoped(workers, n int, f func(worker, i int)) {
 	close(next)
 	wg.Wait()
 }
-
-// ParallelFor runs f(0) … f(n−1) across GOMAXPROCS workers and waits for
-// completion.  It is exported for the sibling scenario packages' campaign
-// runners.
-func ParallelFor(n int, f func(i int)) { ParallelForWorkers(0, n, f) }

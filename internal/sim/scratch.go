@@ -73,9 +73,9 @@ type Scratch struct {
 	// discipline is unchanged — one episode at a time per Scratch.
 	pooledStepper      *Stepper
 	pooledMultiStepper *MultiStepper
-	// extEngine is the same slot for sibling scenario packages
-	// (internal/carfollow, internal/platoon), which sim cannot name
-	// without an import cycle.
+	// extEngine is the same slot for the platoon engine
+	// (internal/platoon, which also runs car following), which sim
+	// cannot name without an import cycle.
 	extEngine any
 }
 
@@ -291,8 +291,8 @@ func (s *Scratch) multiStepper() *MultiStepper {
 	return s.pooledMultiStepper
 }
 
-// ExtEngine returns the opaque pooled-engine slot for sibling scenario
-// packages (nil on a nil receiver or before the first SetExtEngine).
+// ExtEngine returns the opaque pooled-engine slot for the platoon engine
+// (nil on a nil receiver or before the first SetExtEngine).
 func (s *Scratch) ExtEngine() any {
 	if s == nil {
 		return nil
@@ -300,8 +300,8 @@ func (s *Scratch) ExtEngine() any {
 	return s.extEngine
 }
 
-// SetExtEngine stores a sibling scenario package's pooled engine; a no-op
-// on a nil receiver.
+// SetExtEngine stores the platoon package's pooled engine; a no-op on a
+// nil receiver.
 func (s *Scratch) SetExtEngine(v any) {
 	if s != nil {
 		s.extEngine = v

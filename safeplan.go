@@ -762,7 +762,7 @@ func RunCarFollowEpisode(cfg CarFollowSimConfig, agent CarFollowAgent, seed int6
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg)
-	r, err := carfollow.RunEpisode(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
+	r, err := platoon.RunEpisode(platoon.SimConfig{SimConfig: cfg, Vehicles: 2}, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
 	return r, wrapErr(err)
 }
 
@@ -775,11 +775,11 @@ func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, b
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg)
-	rs, err := carfollow.RunCampaign(cfg, agent, n, sim.CampaignOptions{
+	rs, err := sim.RunEpisodes(n, sim.CampaignOptions{
 		Options:  sim.Options{Collector: s.collector},
 		BaseSeed: baseSeed,
 		Workers:  s.workers,
-	})
+	}, cfg.Validate, campaign.CarFollow(cfg, agent))
 	if err != nil {
 		return CampaignStats{}, wrapErr(err)
 	}
@@ -844,11 +844,11 @@ func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseS
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg.SimConfig)
-	rs, err := platoon.RunCampaign(cfg, agent, n, sim.CampaignOptions{
+	rs, err := sim.RunEpisodes(n, sim.CampaignOptions{
 		Options:  sim.Options{Collector: s.collector},
 		BaseSeed: baseSeed,
 		Workers:  s.workers,
-	})
+	}, cfg.Validate, campaign.Platoon(cfg, agent))
 	if err != nil {
 		return CampaignStats{}, wrapErr(err)
 	}
@@ -868,8 +868,9 @@ type (
 	Stepper = sim.Stepper
 	// MultiStepper is the resumable oncoming-stream episode engine.
 	MultiStepper = sim.MultiStepper
-	// CarFollowStepper is the resumable car-following episode engine.
-	CarFollowStepper = carfollow.Stepper
+	// CarFollowStepper is the resumable car-following episode engine: the
+	// platoon engine at two vehicles.
+	CarFollowStepper = platoon.Stepper
 	// StepInput carries externally streamed events into one engine step.
 	StepInput = sim.StepInput
 	// StepOutcome reports one engine step's observable state.
@@ -925,7 +926,7 @@ func NewCarFollowStepper(cfg CarFollowSimConfig, agent CarFollowAgent, seed int6
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg)
-	st, err := carfollow.NewStepper(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
+	st, err := platoon.NewStepper(platoon.SimConfig{SimConfig: cfg, Vehicles: 2}, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
 	return st, wrapErr(err)
 }
 

@@ -9,8 +9,8 @@
 #
 #   - a math/rand *global* call (rand.Float64(), rand.Int63(), ...) —
 #     global streams are shared mutable state and break seed pairing; or
-#   - a new time.Now in the stepping packages beyond the three known
-#     telemetry latency probes (sim/sim.go, sim/multi.go, and
+#   - a new time.Now in the episode-path packages beyond the three known
+#     telemetry latency probes (sim/stepper.go, sim/multistepper.go, and
 #     platoon/stepper.go, each behind a `coll != nil` check, so they
 #     never run in headless campaigns).
 #
@@ -19,9 +19,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="internal/sim internal/platoon internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval"
-# Budget 3: the sim.go and multi.go probes plus the platoon stepper's
-# planner-latency probe, all gated behind `coll != nil`.
+# Every package an episode steps through: the engines, the scenarios and
+# their agents/planners, and the comms, sensing, fusion, dynamics and
+# fault-injection stack under them.
+PKGS="internal/sim internal/platoon internal/carfollow internal/core internal/leftturn internal/planner internal/traffic internal/sensor internal/disturb internal/dynamics internal/faultinject internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval"
+# Budget 3: the sim stepper's and multi stepper's probes plus the platoon
+# stepper's planner-latency probe, all gated behind `coll != nil`.
 TIME_NOW_BUDGET=3
 
 fail=0
@@ -32,7 +35,7 @@ fail=0
 globals=$(grep -rnE '\brand\.[A-Z][A-Za-z]*\(' $PKGS --include='*.go' \
 	| grep -v _test.go | grep -vE 'rand\.(New|NewSource)\(' || true)
 if [ -n "$globals" ]; then
-	echo "lint-determinism: global math/rand calls in stepping packages:" >&2
+	echo "lint-determinism: global math/rand calls in episode-path packages:" >&2
 	echo "$globals" >&2
 	fail=1
 fi
@@ -41,7 +44,7 @@ fi
 nows=$(grep -rn 'time\.Now' $PKGS --include='*.go' | grep -v _test.go || true)
 count=$(printf '%s' "$nows" | grep -c . || true)
 if [ "$count" -gt "$TIME_NOW_BUDGET" ]; then
-	echo "lint-determinism: $count time.Now calls in stepping packages (budget $TIME_NOW_BUDGET):" >&2
+	echo "lint-determinism: $count time.Now calls in episode-path packages (budget $TIME_NOW_BUDGET):" >&2
 	echo "$nows" >&2
 	fail=1
 fi
